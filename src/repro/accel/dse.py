@@ -146,7 +146,7 @@ class DesignSpaceExplorer:
         context = min(self.n_prompt + self.n_generated - 1,
                       self.checkpoint.config.max_seq_len - 1)
         result.analytical_lower_cycles = analytical.estimate(
-            accel.program_for(context)
+            accel.timing.lower(context)
         ).overlapped_cycles
         metrics = accel.simulate_generation(
             n_prompt=self.n_prompt, n_generated=self.n_generated,
@@ -185,7 +185,7 @@ class DesignSpaceExplorer:
                 context = min(self.n_prompt + self.n_generated - 1,
                               self.checkpoint.config.max_seq_len - 1)
                 lower = AnalyticalModel(config, self.platform).estimate(
-                    accel.program_for(context)
+                    accel.timing.lower(context)
                 ).overlapped_cycles
                 if lower > prune_factor * best_lower:
                     results.append(CandidateResult(

@@ -15,11 +15,10 @@ returns: a live view of one request inside the continuous batch.  It is
   after the final (``finished=True``) output;
 * a **blocking result** — :meth:`RequestHandle.result` drains the engine
   until the request retires and returns its
-  :class:`~repro.serve.metrics.RequestMetrics`;
-* a **transparent proxy** of the underlying
-  :class:`~repro.serve.request.Request` — attribute access falls through,
-  so code written against the old ``submit() -> Request`` contract keeps
-  working unmodified.
+  :class:`~repro.serve.metrics.RequestMetrics`.
+
+The scheduler-owned :class:`~repro.serve.request.Request` behind the
+handle is :attr:`RequestHandle.request`.
 
 Iterating a handle advances the *whole* engine (that is what continuous
 batching means); other in-flight requests make progress during the loop
@@ -90,12 +89,6 @@ class RequestHandle:
         self._emitted_tokens = 0
         self._emitted_text = ""
         self._emitted_final = False
-
-    # -- proxy ----------------------------------------------------------
-    def __getattr__(self, name: str):
-        # Fallback for everything the handle does not define: the legacy
-        # ``submit() -> Request`` surface (state, queue_wait, ...).
-        return getattr(self._request, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RequestHandle({self._request.request_id!r}, "

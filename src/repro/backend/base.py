@@ -112,7 +112,7 @@ class ExecutionBackend(abc.ABC):
         """Compilation-pipeline counters of the backend's timing view.
 
         Phase timings, compile-cache hit/miss/evict counters and autotune
-        counters (see :meth:`repro.compile.pipeline.StepCompiler.stats`).
+        counters (see :meth:`repro.compile.pipeline.StepCompiler.compile_stats`).
         Backends without a step compiler report nothing.
         """
         return {}

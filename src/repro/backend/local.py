@@ -39,7 +39,7 @@ class LocalBackend(ExecutionBackend):
         kv_block_tokens: Optional[int] = None,
     ) -> BackendStep:
         outputs = self.accelerator.execute_slots(slots)
-        timing = self.accelerator.simulate_batched_step(
+        timing = self.accelerator.timing.simulate_step(
             [slot.pos for slot in slots],
             [slot.need_logits for slot in slots],
             kv_block_tokens=kv_block_tokens,

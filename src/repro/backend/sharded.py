@@ -6,7 +6,7 @@ accelerator shards.  The partition is the Megatron layout captured by
 and classifier rows split across shards, and each shard owns the
 correspondingly narrowed slice of the KV cache.  Per-shard step time
 comes from the same compile-and-simulate pipeline as the single-device
-path — a :class:`~repro.accel.timing.StepTimingModel` built over the
+path — a :class:`~repro.compile.pipeline.StepCompiler` built over the
 *sharded* decode-step graph — and the step's wall clock is
 
 ``max-over-shards compute  +  collective time``
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from ..accel.accelerator import SpeedLLMAccelerator
 from ..accel.batching import BatchSlot, batch_run_ids
-from ..accel.timing import StepTimingModel
+from ..compile.pipeline import StepCompiler
 from ..fpga.power import EnergyBreakdown
 from ..graph.sharding import ShardSpec
 from ..sim.interconnect import InterconnectModel
@@ -67,7 +67,7 @@ class ShardedBackend(ExecutionBackend):
         self.interconnect = interconnect or InterconnectModel()
         #: Timing view of one shard; the layout is symmetric so one
         #: representative shard's cycle count is the max over shards.
-        self.shard_timing = StepTimingModel(
+        self.shard_timing = StepCompiler(
             self.model_config,
             accelerator.config,
             self.platform,
@@ -114,7 +114,7 @@ class ShardedBackend(ExecutionBackend):
         # independent of the execution placement.
         outputs = self.accelerator.execute_slots(slots)
         need_logits = [slot.need_logits for slot in slots]
-        timing = self.shard_timing.simulate_batched_step(
+        timing = self.shard_timing.simulate_step(
             [slot.pos for slot in slots],
             need_logits,
             kv_block_tokens=kv_block_tokens,

@@ -13,8 +13,7 @@ compile cache and an optional tile autotuner:
 * :mod:`repro.compile.autotune` — the :class:`TileAutotuner` scoring
   candidate plans with the cycle-accurate executor;
 * :mod:`repro.compile.pipeline` — the :class:`StepCompiler` that drives
-  all of it (and that :class:`~repro.accel.timing.StepTimingModel` is a
-  facade over).
+  all of it; execution backends and the accelerator call it directly.
 """
 
 from .phase import Phase, PhasePipeline, PhaseStats

@@ -57,6 +57,9 @@ __all__ = ["CompiledStep", "StepCompiler"]
 #: Phase order of the pipeline (stable; used by docs and tests).
 PHASE_ORDER = ("build", "shard", "fuse", "tile", "schedule")
 
+#: Compiled steps each compiler's cache holds before evicting.
+CACHE_CAPACITY = 1024
+
 
 @dataclass
 class CompiledStep:
@@ -81,7 +84,12 @@ class CompiledStep:
 
 
 class StepCompiler:
-    """Phase-structured compiler for one model (or shard) timing view."""
+    """Phase-structured compiler for one model (or shard) timing view.
+
+    This is the timing API execution backends talk to directly:
+    :meth:`simulate_step` (and :meth:`compile_step`) for one batched
+    step, :meth:`graph_for` / :meth:`lower` for one slot shape.
+    """
 
     def __init__(
         self,
@@ -89,7 +97,6 @@ class StepCompiler:
         config: AcceleratorConfig,
         platform: FpgaPlatform,
         shard: Optional[ShardSpec] = None,
-        cache_capacity: Optional[int] = 1024,
     ) -> None:
         self.model_config = model_config
         self.config = config
@@ -106,7 +113,7 @@ class StepCompiler:
         self._tilers: Dict[TilingPlan, object] = {}
         self.signature = compile_signature(model_config, config, shard)
         self.buckets = ShapeBucketSpec(config.ctx_bucket)
-        self.cache = CompileCache(capacity=cache_capacity)
+        self.cache = CompileCache(capacity=CACHE_CAPACITY)
         self.autotuner: Optional[TileAutotuner] = None
         if config.autotune_tiling:
             self.autotuner = TileAutotuner(candidate_plans(
@@ -307,7 +314,7 @@ class StepCompiler:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
+    def compile_stats(self) -> Dict[str, object]:
         """Phase timings, cache counters and autotune counters."""
         out: Dict[str, object] = {
             "phases": self.phases.stats(),

@@ -49,10 +49,7 @@ Submission goes through the frontend API (:mod:`repro.api`):
 ``submit(prompt, SamplingParams(...))`` validates once, admits once, and
 returns a :class:`~repro.api.RequestHandle` that streams incremental
 :class:`~repro.api.RequestOutput` increments (new tokens, detokenized
-delta, finish reason) while the batch advances.  The pre-PR 4 loose
-keyword form (``submit(prompt, max_new_tokens=..., temperature=...)``)
-remains as a deprecated shim that builds the same params object, so its
-token streams are byte-identical.
+delta, finish reason) while the batch advances.
 
 :class:`AsyncServingEngine` wraps the same engine for asyncio callers:
 ``await engine.generate(...)`` submits a request and resolves when it
@@ -66,8 +63,8 @@ its KV memory; the driver keeps stepping the rest.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
-import warnings
 from typing import (TYPE_CHECKING, AsyncIterator, Callable, Dict, Iterable,
                     List, Optional)
 
@@ -186,56 +183,19 @@ class ServingEngine:
         *,
         request_id: Optional[str] = None,
         arrival_time: Optional[float] = None,
-        max_new_tokens: Optional[int] = None,
-        temperature: Optional[float] = None,
-        top_p: Optional[float] = None,
-        seed: Optional[int] = None,
-        stop_at_eos: Optional[bool] = None,
     ) -> RequestHandle:
         """Enqueue a generation request; returns its streaming handle.
 
-        ``params`` is the frontend API: a validated
-        :class:`~repro.api.SamplingParams`.  The loose keyword arguments
-        are the **deprecated** pre-PR 4 shim — they build the identical
-        params object (so token streams are byte-identical) and will be
-        removed in a future release.
+        ``params`` is a validated :class:`~repro.api.SamplingParams`
+        (the defaults when omitted).
 
         Raises :class:`~repro.api.PromptTooLongError` when the prompt
         leaves no room to decode even one token; a decode budget that
         overflows the context window is clamped here, at admission, so
         the overflow never has to be discovered mid-decode.
         """
-        legacy = {
-            "max_new_tokens": max_new_tokens,
-            "temperature": temperature,
-            "top_p": top_p,
-            "seed": seed,
-            "stop_at_eos": stop_at_eos,
-        }
-        supplied = {k: v for k, v in legacy.items() if v is not None}
         if params is None:
-            if supplied:
-                warnings.warn(
-                    "submit(**kwargs) is deprecated; pass "
-                    "SamplingParams(...) instead",
-                    DeprecationWarning, stacklevel=2,
-                )
-            defaults = SamplingParams()
-            params = SamplingParams(
-                max_tokens=(max_new_tokens if max_new_tokens is not None
-                            else defaults.max_tokens),
-                temperature=(temperature if temperature is not None
-                             else defaults.temperature),
-                top_p=top_p if top_p is not None else defaults.top_p,
-                seed=seed if seed is not None else defaults.seed,
-                stop_at_eos=(stop_at_eos if stop_at_eos is not None
-                             else defaults.stop_at_eos),
-            )
-        elif supplied:
-            raise FrontendError(
-                "pass sampling settings either as SamplingParams or as "
-                f"legacy keywords, not both (got {sorted(supplied)})"
-            )
+            params = SamplingParams()
         tokens = self.llm.encode(prompt)
         max_seq_len = self.model_config.max_seq_len
         if len(tokens) >= max_seq_len:
@@ -703,8 +663,8 @@ class ServingEngine:
         remaining requests keep decoding unaffected.  Returns ``False``
         when the request already finished — a harmless race.
         """
-        # Accept the RequestHandle the new submit() returns as well as
-        # the raw Request the legacy surface handed out.
+        # Accept the RequestHandle submit() returns as well as a raw
+        # Request.
         request = getattr(request, "request", request)
         cancelled = self.scheduler.cancel(request)
         if cancelled and self.drafter is not None:
@@ -750,27 +710,22 @@ class ServingEngine:
         self,
         workloads: Iterable,
         params: Optional[SamplingParams] = None,
-        **sampling,
     ) -> ServeReport:
         """Submit a suite of workloads and drain them.
 
         ``workloads`` yields objects with ``prompt`` and ``max_new_tokens``
         attributes (e.g. :class:`repro.workloads.prompts.Workload`).  Each
-        workload's decode budget overrides ``params.max_tokens`` (or the
-        legacy keyword arguments, which are passed through to
-        :meth:`submit`); a workload's ``priority`` attribute, when
-        present and non-default, overrides ``params.priority``.
+        workload's decode budget overrides ``params.max_tokens``; a
+        workload's ``priority`` attribute, when present and non-default,
+        overrides ``params.priority``.
         """
-        import dataclasses
+        if params is None:
+            params = SamplingParams()
         for workload in workloads:
-            if params is not None:
-                priority = getattr(workload, "priority", 0) or params.priority
-                self.submit(workload.prompt, dataclasses.replace(
-                    params, max_tokens=workload.max_new_tokens,
-                    priority=priority))
-            else:
-                self.submit(workload.prompt,
-                            max_new_tokens=workload.max_new_tokens, **sampling)
+            priority = getattr(workload, "priority", 0) or params.priority
+            self.submit(workload.prompt, dataclasses.replace(
+                params, max_tokens=workload.max_new_tokens,
+                priority=priority))
         return self.run()
 
     # ------------------------------------------------------------------
@@ -895,7 +850,6 @@ class AsyncServingEngine:
         self,
         prompt: str,
         params: Optional[SamplingParams] = None,
-        **submit_kwargs,
     ) -> RequestMetrics:
         """Submit a request and wait for its completion.
 
@@ -904,7 +858,7 @@ class AsyncServingEngine:
         in-flight request.
         """
         loop = asyncio.get_running_loop()
-        handle = self.engine.submit(prompt, params, **submit_kwargs)
+        handle = self.engine.submit(prompt, params)
         future: "asyncio.Future[RequestMetrics]" = loop.create_future()
         self._futures[handle.request_id] = future
         self._ensure_driver()
@@ -919,7 +873,6 @@ class AsyncServingEngine:
         self,
         prompt: str,
         params: Optional[SamplingParams] = None,
-        **submit_kwargs,
     ) -> AsyncIterator[RequestOutput]:
         """Submit a request and yield its incremental outputs.
 
@@ -932,7 +885,7 @@ class AsyncServingEngine:
         memory is freed immediately while the driver keeps stepping every
         other in-flight request.
         """
-        handle = self.engine.submit(prompt, params, **submit_kwargs)
+        handle = self.engine.submit(prompt, params)
         self._ensure_driver()
         try:
             while True:

@@ -28,10 +28,9 @@ next position to execute, and the token to feed there.  Timestamps are in
 *simulated* seconds on the engine's clock, which is what the latency and
 queue-wait metrics report.
 
-Construction accepts either a ``sampling`` params object (the frontend
-API path) or the legacy loose fields (``max_new_tokens`` / ``sampler`` /
-``stop_at_eos``), which are consolidated into a params object on init so
-the rest of the stack sees exactly one configuration source.
+``sampling`` is the request's one configuration source: the decode
+budget and EOS policy (``max_new_tokens`` / ``stop_at_eos``) are
+read-only views of it.
 """
 
 from __future__ import annotations
@@ -64,15 +63,15 @@ class Request:
 
     request_id: str
     prompt_tokens: List[int]
-    max_new_tokens: int = 64
+    #: Validated sampling configuration: the single source of the decode
+    #: budget, EOS policy, stop sequences and sampler settings.
+    sampling: SamplingParams = field(default_factory=SamplingParams)
+    #: The request's private sampler; derived from ``sampling`` when
+    #: omitted.  Passed explicitly only to continue a live RNG stream
+    #: (disaggregated handoff).
     sampler: Optional[Sampler] = None
-    stop_at_eos: bool = True
     arrival_time: float = 0.0
     prompt: str = ""
-    #: Validated sampling configuration.  When omitted, one is derived
-    #: from the legacy loose fields above; when given, it is the single
-    #: source of truth and the loose fields are overwritten from it.
-    sampling: Optional[SamplingParams] = None
     #: SLO tier: smaller numbers are more urgent.  Mirrors
     #: ``sampling.priority`` (which wins when both are given); only the
     #: ``priority`` / ``fairness`` scheduling policies act on it.
@@ -128,19 +127,6 @@ class Request:
     def __post_init__(self) -> None:
         if not self.prompt_tokens:
             raise ValueError("prompt_tokens must not be empty")
-        if self.sampling is None:
-            # Legacy construction: consolidate the loose fields (the
-            # params validate them; an explicit sampler keeps its own
-            # temperature/top_p/seed, so only budget and EOS policy are
-            # taken from the loose fields in that case).
-            if self.max_new_tokens <= 0:
-                raise ValueError("max_new_tokens must be positive")
-            self.sampling = SamplingParams(
-                max_tokens=self.max_new_tokens,
-                stop_at_eos=self.stop_at_eos,
-            )
-        self.max_new_tokens = self.sampling.max_tokens
-        self.stop_at_eos = self.sampling.stops_at_eos
         if self.sampling.priority != 0:
             self.priority = self.sampling.priority
         if self.sampler is None:
@@ -150,6 +136,16 @@ class Request:
         self.prompt_tokens = [int(t) for t in self.prompt_tokens]
 
     # ------------------------------------------------------------------
+    @property
+    def max_new_tokens(self) -> int:
+        """Decode budget (``sampling.max_tokens``)."""
+        return self.sampling.max_tokens
+
+    @property
+    def stop_at_eos(self) -> bool:
+        """Whether sampling EOS retires the request (``ignore_eos`` applied)."""
+        return self.sampling.stops_at_eos
+
     @property
     def n_prompt(self) -> int:
         return len(self.prompt_tokens)

@@ -8,6 +8,7 @@ import pytest
 from repro.accel.accelerator import SpeedLLMAccelerator
 from repro.accel.config import AcceleratorConfig
 from repro.accel.variants import variant_config
+from repro.compile.pipeline import StepCompiler
 from repro.llama.generation import generate as reference_generate
 from repro.llama.model import LlamaModel
 from repro.llama.sampler import Sampler
@@ -20,19 +21,25 @@ def accel(small_checkpoint):
 
 class TestCompilationCaches:
     def test_graph_cached_per_context(self, accel):
-        assert accel.graph_for(3) is accel.graph_for(3)
-        assert accel.graph_for(3) is not accel.graph_for(4)
+        assert accel.timing.graph_for(3) is accel.timing.graph_for(3)
+        assert accel.timing.graph_for(3) is not accel.timing.graph_for(4)
 
     def test_program_cached(self, accel):
-        assert accel.program_for(2) is accel.program_for(2)
+        assert accel.timing.lower(2) is accel.timing.lower(2)
 
     def test_fusion_respected(self, small_checkpoint):
         fused = SpeedLLMAccelerator(small_checkpoint, variant_config("full"))
         unfused = SpeedLLMAccelerator(small_checkpoint, variant_config("no-fusion"))
-        assert len(fused.graph_for(2)) < len(unfused.graph_for(2))
+        assert len(fused.timing.graph_for(2)) < len(unfused.timing.graph_for(2))
 
     def test_step_result_cached(self, accel):
-        assert accel.simulate_step(1) is accel.simulate_step(1)
+        assert accel.timing.simulate_step([1]) is accel.timing.simulate_step([1])
+
+    def test_timing_is_the_step_compiler(self, accel):
+        assert isinstance(accel.timing, StepCompiler)
+        for name in ("graph_for", "program_for", "simulate_step",
+                     "batch_program_for", "simulate_batched_step"):
+            assert not hasattr(accel, name), name
 
 
 class TestResourceReport:

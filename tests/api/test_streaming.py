@@ -4,12 +4,14 @@ admission-time errors, and AsyncServingEngine.stream."""
 from __future__ import annotations
 
 import asyncio
+import copy
 
 import pytest
 
 from repro.api import PromptTooLongError, SamplingParams
 from repro.serve import SchedulerConfig, ServingEngine
 from repro.serve.engine import AsyncServingEngine
+from repro.serve.request import Request
 
 PROMPTS = [
     "Once upon a time",
@@ -72,14 +74,33 @@ class TestHandleStreaming:
         assert metrics.finish_reason == "length"
         assert metrics.text == handle.text
 
-    def test_handle_proxies_legacy_request_attributes(self, llm):
+    def test_handle_exposes_its_request(self, llm):
         engine = ServingEngine(llm)
         handle = engine.submit(PROMPTS[0], SamplingParams(max_tokens=4))
-        assert handle.state.value == "queued"
-        assert handle.n_prompt == len(handle.prompt_tokens)
+        request = handle.request
+        assert request.state.value == "queued"
+        assert request.n_prompt == len(request.prompt_tokens)
+        assert not hasattr(handle, "state")
         engine.run()
-        assert handle.is_finished
-        assert handle.queue_wait == 0.0
+        assert request.is_finished
+        assert request.queue_wait == 0.0
+
+    def test_copied_handle_is_an_independent_cursor(self, llm):
+        """A shallow copy shares the request but keeps its own stream
+        position; a deep copy carries a whole engine of its own.  Both
+        used to recurse forever through the attribute proxy."""
+        engine = ServingEngine(llm)
+        handle = engine.submit(PROMPTS[1], SamplingParams(max_tokens=6))
+        stream = handle.outputs()
+        head = next(stream)
+        twin = copy.copy(handle)
+        clone = copy.deepcopy(handle)
+        assert twin.request is handle.request
+        assert clone.request is not handle.request
+        rest = [t for out in stream for t in out.new_token_ids]
+        assert [t for out in twin for t in out.new_token_ids] == rest
+        assert [t for out in clone for t in out.new_token_ids] == rest
+        assert list(head.new_token_ids) + rest == list(handle.token_ids)
 
 
 class TestStopSequences:
@@ -127,15 +148,29 @@ class TestAdmissionErrors:
         engine = ServingEngine(llm)
         handle = engine.submit(
             PROMPTS[0], SamplingParams(max_tokens=10 ** 6))
-        room = llm.model_config.max_seq_len - handle.n_prompt
+        room = llm.model_config.max_seq_len - handle.request.n_prompt
         # Accounted at admission: the carried budget already fits.
         assert handle.request.max_new_tokens == room
         assert handle.request.sampling.max_tokens == room
 
-    def test_params_and_legacy_kwargs_are_mutually_exclusive(self, llm):
-        with pytest.raises(ValueError, match="not both"):
-            ServingEngine(llm).submit(
-                PROMPTS[0], SamplingParams(max_tokens=4), max_new_tokens=8)
+    @pytest.mark.parametrize("keyword", [
+        "max_new_tokens", "temperature", "top_p", "seed", "stop_at_eos"])
+    def test_loose_sampling_keywords_are_rejected(self, llm, keyword):
+        """Sampling settings travel only as ``SamplingParams``."""
+        engine = ServingEngine(llm)
+        kwargs = {keyword: 1}
+        with pytest.raises(TypeError):
+            engine.submit(PROMPTS[0], **kwargs)
+        with pytest.raises(TypeError):
+            engine.serve([], **kwargs)
+        with pytest.raises(TypeError):
+            Request(request_id="r", prompt_tokens=[1, 2], **kwargs)
+        async_engine = AsyncServingEngine(engine=engine)
+        with pytest.raises(TypeError):
+            asyncio.run(async_engine.generate(PROMPTS[0], **kwargs))
+        with pytest.raises(TypeError):
+            async_engine.stream(PROMPTS[0], **kwargs)
+        assert not engine.scheduler.has_work
 
 
 class TestLogprobs:

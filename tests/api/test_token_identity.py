@@ -3,8 +3,8 @@ configuration produces identical token streams.
 
 Two axes are pinned:
 
-* **Surfaces** — the same prompts are driven through (a) the deprecated
-  ``submit(**kwargs)`` shim, (b) ``SamplingParams`` + the streaming
+* **Surfaces** — the same prompts are driven through (a) the asyncio
+  ``AsyncServingEngine.stream``, (b) ``SamplingParams`` + the streaming
   ``RequestHandle``, and (c) the OpenAI-style completions layer, for
   greedy and seeded top-p sampling, and all three must emit exactly the
   same tokens as one another and as sequential ``SpeedLLM.generate``.
@@ -20,6 +20,8 @@ Two axes are pinned:
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.api import (
@@ -30,6 +32,7 @@ from repro.api import (
     SpecConfig,
 )
 from repro.serve import SchedulerConfig, ServingEngine
+from repro.serve.engine import AsyncServingEngine
 
 PROMPTS = [
     "Once upon a time",
@@ -44,14 +47,21 @@ CONFIGS = [
 ]
 
 
-def _streams_via_shim(llm, sampling, max_tokens):
-    engine = ServingEngine(llm, SchedulerConfig(max_batch_tokens=16))
-    handles = [
-        engine.submit(p, max_new_tokens=max_tokens, seed=11 + i, **sampling)
-        for i, p in enumerate(PROMPTS)
-    ]
-    engine.run()
-    return [list(h.token_ids) for h in handles]
+def _streams_via_async(llm, sampling, max_tokens):
+    engine = AsyncServingEngine(
+        llm, SchedulerConfig(max_batch_tokens=16))
+
+    async def collect(stream):
+        return [t async for out in stream for t in out.new_token_ids]
+
+    async def drive():
+        return await asyncio.gather(*[
+            collect(engine.stream(p, SamplingParams(
+                max_tokens=max_tokens, seed=11 + i, **sampling)))
+            for i, p in enumerate(PROMPTS)
+        ])
+
+    return asyncio.run(drive())
 
 
 def _streams_via_params(llm, sampling, max_tokens):
@@ -89,10 +99,10 @@ def test_all_three_surfaces_emit_identical_streams(llm, sampling):
                      **sampling).generated_tokens
         for i, p in enumerate(PROMPTS)
     ]
-    shim = _streams_via_shim(llm, sampling, max_tokens)
+    streamed = _streams_via_async(llm, sampling, max_tokens)
     params = _streams_via_params(llm, sampling, max_tokens)
     completions = _streams_via_completions(llm, sampling, max_tokens)
-    assert shim == sequential
+    assert streamed == sequential
     assert params == sequential
     assert completions == sequential
 

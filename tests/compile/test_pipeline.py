@@ -95,7 +95,7 @@ class TestSimulation:
 class TestStats:
     def test_stats_structure(self, compiler):
         compiler.simulate_step((12, 18))
-        stats = compiler.stats()
+        stats = compiler.compile_stats()
         assert set(stats) == {"phases", "phase_seconds", "compile_seconds",
                               "cache"}
         assert [row["name"] for row in stats["phases"]] == list(PHASE_ORDER)
@@ -106,6 +106,6 @@ class TestStats:
         config = variant_config("full").replace(autotune_tiling=True)
         tuned = StepCompiler(preset("stories15M"), config, u280())
         tuned.compile_step((16,))
-        stats = tuned.stats()
+        stats = tuned.compile_stats()
         assert "autotune" in stats
         assert stats["autotune"]["searches"] == 1

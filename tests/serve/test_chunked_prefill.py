@@ -28,6 +28,7 @@ from repro.api import (
     CompletionRequest,
     CompletionService,
     EngineConfig,
+    SamplingParams,
 )
 from repro.core.speedllm import SpeedLLM
 from repro.serve import SchedulerConfig
@@ -48,7 +49,7 @@ def make_scheduler(micro_config, **overrides):
 def make_request(request_id, n_prompt, max_new_tokens=4):
     return Request(request_id=request_id,
                    prompt_tokens=list(range(1, n_prompt + 1)),
-                   max_new_tokens=max_new_tokens)
+                   sampling=SamplingParams(max_tokens=max_new_tokens))
 
 
 def start_decoding(request):

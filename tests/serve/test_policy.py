@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.llama.kv_cache import KVCache
 from repro.serve import (
     POLICIES,
@@ -32,7 +33,7 @@ def make_request(request_id, priority=0, arrival_seq=0, arrival_time=0.0,
     return Request(
         request_id=request_id,
         prompt_tokens=list(range(1, n_prompt + 1)),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_tokens=max_new_tokens),
         arrival_time=arrival_time,
         priority=priority,
         arrival_seq=arrival_seq,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.serve.request import Request, RequestQueue, RequestState
 
 
@@ -11,7 +12,7 @@ def make_request(request_id="r0", n_prompt=4, max_new_tokens=8, **kwargs):
     return Request(
         request_id=request_id,
         prompt_tokens=list(range(1, n_prompt + 1)),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_tokens=max_new_tokens),
         **kwargs,
     )
 
@@ -26,11 +27,22 @@ class TestRequest:
 
     def test_rejects_empty_prompt(self):
         with pytest.raises(ValueError):
-            Request(request_id="r", prompt_tokens=[], max_new_tokens=4)
+            Request(request_id="r", prompt_tokens=[], sampling=SamplingParams(max_tokens=4))
 
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             make_request(max_new_tokens=0)
+
+    def test_budget_and_eos_policy_derive_from_sampling(self):
+        request = Request(request_id="r", prompt_tokens=[1, 2],
+                          sampling=SamplingParams(max_tokens=5, ignore_eos=True))
+        assert request.max_new_tokens == 5
+        assert request.stop_at_eos is False
+        assert make_request().stop_at_eos is True
+        with pytest.raises(AttributeError):
+            request.max_new_tokens = 7
+        with pytest.raises(AttributeError):
+            request.stop_at_eos = True
 
     def test_total_positions_caps_at_context_window(self):
         request = make_request(n_prompt=10, max_new_tokens=100)

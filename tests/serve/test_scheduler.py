@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.llama.kv_cache import KVCache
 from repro.serve.request import Request, RequestState
 from repro.serve.scheduler import Scheduler, SchedulerConfig
@@ -13,7 +14,7 @@ def make_request(request_id, n_prompt=4, max_new_tokens=4):
     return Request(
         request_id=request_id,
         prompt_tokens=list(range(1, n_prompt + 1)),
-        max_new_tokens=max_new_tokens,
+        sampling=SamplingParams(max_tokens=max_new_tokens),
     )
 
 
@@ -218,8 +219,9 @@ class TestEdgeCases:
         assert scheduler.build_step()
 
     def test_zero_decode_budget_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="max_new_tokens"):
-            Request(request_id="zero", prompt_tokens=[1, 2], max_new_tokens=0)
+        with pytest.raises(ValueError, match="max_tokens"):
+            Request(request_id="zero", prompt_tokens=[1, 2],
+                    sampling=SamplingParams(max_tokens=0))
 
     def test_window_filling_prompt_caps_reservation(self, micro_config):
         # A prompt that already fills the context window leaves no decode

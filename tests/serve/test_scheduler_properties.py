@@ -33,6 +33,7 @@ import random
 
 import pytest
 
+from repro.api import SamplingParams
 from repro.llama.kv_cache import KVCache
 from repro.serve import SchedulerConfig
 from repro.serve.request import Request, RequestState
@@ -81,8 +82,9 @@ class TrafficHarness:
             request_id=f"r{len(self.submitted)}",
             prompt_tokens=[self.rng.randint(1, 40) for _ in range(
                 n_prompt if n_prompt is not None else self.rng.randint(2, 8))],
-            max_new_tokens=(max_new_tokens if max_new_tokens is not None
-                            else self.rng.randint(1, 6)),
+            sampling=SamplingParams(max_tokens=(
+                max_new_tokens if max_new_tokens is not None
+                else self.rng.randint(1, 6))),
             arrival_time=self.now,
             priority=(priority if priority is not None
                       else self.rng.choice([0, 0, 1, 2])),
